@@ -22,14 +22,29 @@ def load(name):
         return json.load(fh)
 
 
+KNOWN = {"BENCH_core.json", "BENCH_fleet.json", "BENCH_replay.json",
+         "BENCH_policies.json", "BENCH_campaign.json"}
+
+
 def test_every_committed_bench_json_has_a_schema_check():
-    known = {"BENCH_core.json", "BENCH_fleet.json", "BENCH_replay.json",
-             "BENCH_policies.json", "BENCH_campaign.json"}
     committed = {p.name for p in BENCH_DIR.glob("BENCH_*.json")}
-    assert committed == known, (
+    assert committed == KNOWN, (
         "benchmarks/BENCH_*.json changed; add/remove the matching schema "
         "check in test_bench_schemas.py"
     )
+
+
+def test_gitignore_whitelist_matches_schema_checks():
+    """`.gitignore` drops every BENCH file except the whitelisted ones, so
+    a schema-checked file missing from the whitelist is never committed
+    and its tests fail on a clean clone."""
+    gitignore = BENCH_DIR.parent / ".gitignore"
+    whitelisted = {
+        Path(line[1:]).name
+        for line in gitignore.read_text(encoding="utf-8").splitlines()
+        if line.startswith("!benchmarks/BENCH_")
+    }
+    assert whitelisted == KNOWN
 
 
 def test_all_bench_jsons_parse():
