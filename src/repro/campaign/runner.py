@@ -31,8 +31,9 @@ byte-identical at any ``--workers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from dataclasses import replace
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.config import (
     END_PE,
@@ -59,28 +60,7 @@ from repro.tournament import (
 HINTED_POLICIES = frozenset({"sentinel", "tracking+sentinel"})
 
 
-@dataclass(frozen=True)
-class _CellTask:
-    """Everything a worker needs to run one campaign cell."""
-
-    kind: str
-    policy: str
-    schedule: str
-    environment: str
-    workload: str
-    phases: int
-    lifetime_hours: float
-    requests_per_phase: int
-    cells_per_wordline: int
-    sentinel_ratio: float
-    wordline_step: int
-    scale: float
-    inter_phase_gap_us: float
-    seed: int
-    model: object = field(repr=False)
-
-
-def _phase_requests(task: _CellTask, translated, client: str, start_us: float):
+def _phase_requests(translated, client: str, start_us: float):
     from repro.service.workload import ServiceRequest
 
     return [
@@ -96,8 +76,11 @@ def _phase_requests(task: _CellTask, translated, client: str, start_us: float):
     ]
 
 
-def _run_cell(task: _CellTask) -> Dict[str, Any]:
-    """One campaign cell, birth to end of life; returns its scorecard."""
+def _run_cell(
+    cfg: CampaignConfig, model, seed: int, key: Tuple[str, str, str, str]
+) -> Dict[str, Any]:
+    """One (policy, schedule, environment, workload) campaign cell, birth
+    to end of life; returns its scorecard."""
     from repro.replay.translate import LbaTranslator, translate_trace
     from repro.service.broker import FlashReadService
     from repro.service.profiles import COLD, WARM, sentinel_hint_fn
@@ -105,34 +88,36 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
     from repro.ssd.timing import NandTiming
     from repro.traces.synthetic import MSR_WORKLOADS, generate_workload
 
-    canonical = POLICY_ALIASES[task.policy]
-    spec = cell_spec(task.kind, task.cells_per_wordline)
+    policy, schedule, environment, workload = key
+    kind = cfg.kind.lower()
+    canonical = POLICY_ALIASES[policy]
+    spec = cell_spec(kind, cfg.cells_per_wordline)
     ssd_config = SsdConfig.for_spec(
         spec, channels=2, dies_per_channel=2, blocks_per_die=64
     )
     timing = NandTiming()
-    plan = environment_plan(task.environment, task.lifetime_hours)
+    plan = environment_plan(environment, cfg.lifetime_hours)
     hint_fn = (
-        sentinel_hint_fn(task.model) if canonical in HINTED_POLICIES else None
+        sentinel_hint_fn(model) if canonical in HINTED_POLICIES else None
     )
 
     # the workload is translated once; each phase replays the same request
     # stream as a fresh client offset past the previous phase's horizon
     trace = generate_workload(
-        MSR_WORKLOADS[task.workload],
-        n_requests=task.requests_per_phase,
-        seed=task.seed,
+        MSR_WORKLOADS[workload],
+        n_requests=cfg.requests_per_phase,
+        seed=seed,
     )
     translator = LbaTranslator(
         page_bytes=ssd_config.page_user_bytes,
         max_pages_per_request=8,
-        scale=task.scale,
+        scale=cfg.scale,
     )
     translated, _stats, _engine = translate_trace(
         trace, translator, workers=1
     )
 
-    end_pe = END_PE[task.kind.lower()]
+    end_pe = END_PE[kind]
     stress = StressState()
     read_count = 0
     service: Optional[FlashReadService] = None
@@ -140,33 +125,33 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
     prev_retries = 0
     phase_rows: List[Dict[str, Any]] = []
 
-    for p in range(1, task.phases + 1):
-        h0 = task.lifetime_hours * (p - 1) / task.phases
-        h1 = task.lifetime_hours * p / task.phases
+    for p in range(1, cfg.phases + 1):
+        h0 = cfg.lifetime_hours * (p - 1) / cfg.phases
+        h1 = cfg.lifetime_hours * p / cfg.phases
         # 1. age: piecewise retention over the environment's temperature
         # windows, then the schedule's cumulative wear and the read
         # disturb the broker actually generated
         for hours, temp_c in temperature_segments(plan, h0, h1):
             stress = stress.with_retention(hours, temperature_c=temp_c)
-        pe = pe_at(task.schedule, p, task.phases, end_pe)
+        pe = pe_at(schedule, p, cfg.phases, end_pe)
         stress = replace(stress, pe_cycles=pe, read_count=read_count)
 
         # 2. re-measure the drifted retry profiles and swap them in
         cold = measure_stress_profile(
-            task.policy, task.kind, stress, task.cells_per_wordline,
-            task.sentinel_ratio, task.wordline_step, task.model,
+            policy, kind, stress, cfg.cells_per_wordline,
+            cfg.sentinel_ratio, cfg.wordline_step, model,
         )
         warm = cold
         if hint_fn is not None:
             warm = measure_stress_profile(
-                task.policy, task.kind, stress, task.cells_per_wordline,
-                task.sentinel_ratio, task.wordline_step, task.model,
+                policy, kind, stress, cfg.cells_per_wordline,
+                cfg.sentinel_ratio, cfg.wordline_step, model,
                 hint_fn=hint_fn,
             )
         if service is None:
             service = FlashReadService(
                 spec, ssd_config, timing, {COLD: cold, WARM: warm},
-                seed=task.seed,
+                seed=seed,
             )
         else:
             service.profiles = {COLD: cold, WARM: warm}
@@ -181,9 +166,9 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
 
         # 4. serve this phase as a fresh open-loop client, strictly
         # after everything already on the virtual clock
-        client = f"{task.workload}#p{p}"
-        start_us = service.queue.now + task.inter_phase_gap_us
-        requests = _phase_requests(task, translated, client, start_us)
+        client = f"{workload}#p{p}"
+        start_us = service.queue.now + cfg.inter_phase_gap_us
+        requests = _phase_requests(translated, client, start_us)
         report = service.run_prepared(
             {client: requests},
             scenario=f"campaign:{canonical}:p{p}",
@@ -234,10 +219,10 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
     }
     return {
         "policy": canonical,
-        "schedule": task.schedule,
-        "environment": task.environment,
-        "workload": task.workload,
-        "kind": task.kind,
+        "schedule": schedule,
+        "environment": environment,
+        "workload": workload,
+        "kind": kind,
         "end_pe": end_pe,
         "phases": phase_rows,
         **totals,
@@ -300,24 +285,8 @@ def run_campaign(
     cfg = config or CampaignConfig()
     kind = cfg.kind.lower()
     model = tournament_model(kind, cfg.cells_per_wordline, cfg.sentinel_ratio)
-    tasks = [
-        _CellTask(
-            kind=kind,
-            policy=policy,
-            schedule=schedule,
-            environment=environment,
-            workload=workload,
-            phases=cfg.phases,
-            lifetime_hours=cfg.lifetime_hours,
-            requests_per_phase=cfg.requests_per_phase,
-            cells_per_wordline=cfg.cells_per_wordline,
-            sentinel_ratio=cfg.sentinel_ratio,
-            wordline_step=cfg.wordline_step,
-            scale=cfg.scale,
-            inter_phase_gap_us=cfg.inter_phase_gap_us,
-            seed=seed,
-            model=model,
-        )
+    keys = [
+        (policy, schedule, environment, workload)
         for policy in cfg.policies
         for schedule in cfg.schedules
         for environment in cfg.environments
@@ -325,7 +294,7 @@ def run_campaign(
     ]
     engine = ParallelMap(workers=cfg.workers)
     cells: List[Dict[str, Any]] = engine.run(
-        _run_cell, tasks, label="campaign"
+        partial(_run_cell, cfg, model, seed), keys, label="campaign"
     )
     for cell in cells:
         _emit_cell_obs(cell)

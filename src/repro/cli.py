@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro import __version__
 from repro.obs.log import echo, setup_logging
@@ -138,6 +138,53 @@ def _export_obs(args: argparse.Namespace) -> int:
     if server is not None:
         server.stop()
     return status
+
+
+def _end_run(args: argparse.Namespace, command: str, label: str,
+             report, failure: Optional[str] = None) -> int:
+    """The shared end of a report-producing subcommand; returns its exit
+    status.
+
+    Writes ``report.to_json()`` to ``--json``, exports the observability
+    files, then prints ``failure`` (the run's invariant violation, if
+    any) and returns 1.  An unwritable ``--json`` path returns 1 first.
+    """
+    if args.json:
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+                fh.write("\n")
+        except OSError as exc:
+            print(f"repro {command}: cannot write report to {args.json}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 1
+        echo(f"{label} report -> {args.json}")
+    status = _export_obs(args)
+    if failure is not None:
+        print(f"repro {command}: FAIL: {failure}", file=sys.stderr)
+        return 1
+    return status
+
+
+def _imbalance(acc: dict, tail: str = ")") -> str:
+    """The accounting-identity failure of one serving run."""
+    return (f"request accounting imbalanced "
+            f"(served {acc.get('served')} + degraded {acc.get('degraded')} "
+            f"+ shed {acc.get('shed')} != offered {acc.get('offered')}"
+            + tail)
+
+
+def _cell_imbalance(cells, keys: Sequence[str]) -> Optional[str]:
+    """The accounting-identity failure of a grid run, naming its cells
+    (``None`` when every cell balances)."""
+    broken = [
+        "/".join(str(c[k]) for k in keys)
+        for c in cells if not c.get("balanced")
+    ]
+    if not broken:
+        return None
+    return (f"request accounting imbalanced in {len(broken)} cells: "
+            + ", ".join(broken))
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +347,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     report = service.run(list(clients), scenario=scenario)
     echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro serve: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"service report -> {args.json}")
-    return _export_obs(args)
+    return _end_run(args, "serve", "service", report)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -322,7 +359,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.faults.campaign import run_campaign
+    from repro.faults.campaign import run_chaos
     from repro.faults.plan import FaultPlan
 
     if args.plan:
@@ -341,7 +378,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     else:
         plan = FaultPlan.standard()
     _maybe_enable_obs(args)
-    report = run_campaign(
+    report = run_chaos(
         plan,
         seed=args.seed,
         kind=args.kind,
@@ -350,25 +387,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         n_requests=args.requests,
     )
     echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro chaos: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"chaos report -> {args.json}")
-    status = _export_obs(args)
-    if not report.accounting.get("balanced", False):
-        acc = report.accounting
-        print(f"repro chaos: FAIL: request accounting imbalanced "
-              f"(served {acc.get('served')} + degraded {acc.get('degraded')} "
-              f"+ shed {acc.get('shed')} != offered {acc.get('offered')})",
-              file=sys.stderr)
-        return 1
-    return status
+    balanced = report.accounting.get("balanced", False)
+    return _end_run(
+        args, "chaos", "chaos", report,
+        None if balanced else _imbalance(report.accounting),
+    )
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -441,25 +464,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
         ),
     )
     echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro replay: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"replay report -> {args.json}")
-    status = _export_obs(args)
-    if not report.balanced:
-        acc = report.accounting
-        print(f"repro replay: FAIL: request accounting imbalanced "
-              f"(served {acc.get('served')} + degraded {acc.get('degraded')} "
-              f"+ shed {acc.get('shed')} != offered {acc.get('offered')})",
-              file=sys.stderr)
-        return 1
-    return status
+    return _end_run(
+        args, "replay", "replay", report,
+        None if report.balanced else _imbalance(report.accounting),
+    )
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -496,28 +504,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
     report = run_fleet(config, seed=args.seed)
     echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro fleet: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"fleet report -> {args.json}")
-    status = _export_obs(args)
+    failure = None
     if not report.balanced:
         acc = report.accounting
-        print(f"repro fleet: FAIL: request accounting imbalanced "
-              f"(served {acc.get('served')} + degraded {acc.get('degraded')} "
-              f"+ shed {acc.get('shed')} != offered {acc.get('offered')}; "
-              f"per-tenant: " + ", ".join(
-                  f"{t}={'ok' if v.get('balanced') else 'IMBALANCED'}"
-                  for t, v in sorted(acc.get("tenants", {}).items())
-              ), file=sys.stderr)
-        return 1
-    return status
+        failure = _imbalance(acc, "; per-tenant: " + ", ".join(
+            f"{t}={'ok' if v.get('balanced') else 'IMBALANCED'}"
+            for t, v in sorted(acc.get("tenants", {}).items())
+        ))
+    return _end_run(args, "fleet", "fleet", report, failure)
 
 
 def cmd_tournament(args: argparse.Namespace) -> int:
@@ -564,30 +558,11 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     )
     report = run_tournament(config, seed=args.seed)
     echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro tournament: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"tournament report -> {args.json}")
-    status = _export_obs(args)
-    if not report.balanced:
-        broken = [
-            f"{c['policy']}/{c['age']}/{c['frontend']}"
-            for c in report.cells if not c.get("balanced")
-        ]
-        print(f"repro tournament: FAIL: request accounting imbalanced in "
-              f"{len(broken)} cells: " + ", ".join(broken), file=sys.stderr)
-        return 1
-    if args.check and not report.sentinel_beats():
-        print("repro tournament: FAIL: sentinel did not beat current-flash "
-              "on retries/read in every cell", file=sys.stderr)
-        return 1
-    return status
+    failure = _cell_imbalance(report.cells, ("policy", "age", "frontend"))
+    if failure is None and args.check and not report.sentinel_beats():
+        failure = ("sentinel did not beat current-flash on retries/read "
+                   "in every cell")
+    return _end_run(args, "tournament", "tournament", report, failure)
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -636,27 +611,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     report = run_campaign(config, seed=args.seed)
     echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro campaign: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"campaign report -> {args.json}")
-    status = _export_obs(args)
-    if not report.balanced:
-        broken = [
-            f"{c['policy']}/{c['schedule']}/{c['environment']}"
-            f"/{c['workload']}"
-            for c in report.cells if not c.get("balanced")
-        ]
-        print(f"repro campaign: FAIL: request accounting imbalanced in "
-              f"{len(broken)} cells: " + ", ".join(broken), file=sys.stderr)
-        return 1
-    return status
+    failure = _cell_imbalance(
+        report.cells, ("policy", "schedule", "environment", "workload")
+    )
+    return _end_run(args, "campaign", "campaign", report, failure)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

@@ -76,11 +76,6 @@ class _CharTask:
     spec: object
     seed: int
     sentinel_ratio: float
-    batched: bool = True  # columnar batch path (bit-identical)
-
-
-#: Cells per columnar sub-batch of a characterization shard.
-_CHAR_BATCH_CELLS = 1 << 23
 
 
 def _characterize_shard(task: _CharTask, shard: _CharShard) -> List[tuple]:
@@ -89,45 +84,18 @@ def _characterize_shard(task: _CharTask, shard: _CharShard) -> List[tuple]:
     Both measurements are pure functions of the wordline identity: the
     sentinel readout consumes the wordline's own fresh read-noise stream
     and the optimal search is noiseless, so rebuilding the chip here yields
-    exactly the samples the caller's chip would.
+    exactly the samples the caller's chip would.  The shard's wordlines
+    come from :meth:`FlashChip.iter_wordline_batches`; each sub-batch's
+    sentinel readouts are one batched single-voltage sense (each row
+    drawing from its own read-noise stream, so row order inside the kernel
+    cannot change a sample) and the optimal search runs per wordline view.
     """
-    if task.batched:
-        return _characterize_shard_batched(task, shard)
     chip = FlashChip(
         task.spec, task.seed, task.sentinel_ratio, cache_wordlines=1
     )
     chip.set_block_stress(shard.block, shard.stress)
     rows: List[tuple] = []
-    for wl in chip.iter_wordlines(shard.block, shard.wordlines):
-        readout = wl.sentinel_readout(0.0)
-        rows.append((readout.difference_rate, optimal_offsets(wl)))
-    return rows
-
-
-def _characterize_shard_batched(task: _CharTask, shard: _CharShard) -> List[tuple]:
-    """Columnar form of ``_characterize_shard``: same rows, batched kernels.
-
-    The sentinel readouts of a sub-batch are one batched single-voltage
-    sense (each row drawing from its own read-noise stream, so row order
-    inside the kernel cannot change a sample); the ground-truth optimal
-    search is noiseless and runs per wordline view.
-    """
-    from repro.flash.block import BlockColumns
-
-    indices = list(shard.wordlines)
-    per_batch = max(
-        1, _CHAR_BATCH_CELLS // max(task.spec.cells_per_wordline, 1)
-    )
-    rows: List[tuple] = []
-    for b0 in range(0, len(indices), per_batch):
-        cols = BlockColumns(
-            task.spec,
-            task.seed,
-            shard.block,
-            indices[b0 : b0 + per_batch],
-            task.sentinel_ratio,
-            stress=shard.stress,
-        )
+    for cols in chip.iter_wordline_batches(shard.block, shard.wordlines):
         readouts = cols.sentinel_readout_batch(0.0)
         for readout, wl in zip(readouts, cols.iter_views()):
             rows.append((readout.difference_rate, optimal_offsets(wl)))
@@ -142,7 +110,6 @@ def characterize_chip(
     degree: int = 5,
     temp_bin_edges: Sequence[float] = DEFAULT_TEMP_BINS,
     workers: int = 1,
-    batched: bool = True,
 ) -> CharacterizationResult:
     """Run the full characterization sweep and fit a :class:`SentinelModel`.
 
@@ -152,10 +119,6 @@ def characterize_chip(
     ``workers > 1`` fans the sweep out over :class:`repro.engine.ParallelMap`
     in canonical (stress, block, wordline) order; the collected samples —
     and therefore the fitted model — are byte-identical to a serial run.
-
-    ``batched=True`` (the default) sweeps each shard through the columnar
-    :class:`repro.flash.block.BlockColumns` store; samples are
-    bit-identical to the per-wordline path (``batched=False``).
     """
     if chip.sentinel_ratio <= 0:
         raise ValueError("characterization requires a chip with sentinel cells")
@@ -171,10 +134,7 @@ def characterize_chip(
             for plan in plan_wordline_shards(block, wl_indices, workers):
                 shards.append(_CharShard(stress, block, plan.wordlines))
     task = _CharTask(
-        spec=spec,
-        seed=chip.seed,
-        sentinel_ratio=chip.sentinel_ratio,
-        batched=batched,
+        spec=spec, seed=chip.seed, sentinel_ratio=chip.sentinel_ratio
     )
     engine = ParallelMap(workers=workers)
     per_shard = engine.run(

@@ -14,7 +14,7 @@ data, JSON round-trippable) and evaluated by a
 :class:`~repro.faults.injector.FaultInjector` whose every decision draws
 from a fresh seed-tree stream — same plan + same seed means the same
 faults, at any worker count.  ``repro chaos`` runs a full campaign via
-:func:`repro.faults.campaign.run_campaign` (imported directly, not from
+:func:`repro.faults.campaign.run_chaos` (imported directly, not from
 this package root, to keep the hook sites' import graph acyclic).
 
 Fault injection is **off by default**: with :data:`FAULTS` inactive every

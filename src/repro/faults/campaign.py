@@ -164,7 +164,7 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def run_campaign(
+def run_chaos(
     plan: FaultPlan,
     seed: int = 0,
     kind: str = "tlc",

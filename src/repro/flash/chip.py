@@ -10,7 +10,7 @@ sweep.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import FlashSpec
@@ -19,6 +19,10 @@ from repro.flash.wordline import OffsetsLike, ReadResult, Wordline
 
 # re-exported for convenience: most callers import StressState from here
 __all__ = ["FlashChip", "StressState"]
+
+#: Cells per columnar sub-batch of a block sweep (bounds peak memory on
+#: whole-block sweeps at paper scale: ~150 MB of column arrays per batch).
+BATCH_CELLS = 1 << 23
 
 
 class FlashChip:
@@ -167,19 +171,19 @@ class FlashChip:
         self,
         block: int,
         indices: Optional[Sequence[int]] = None,
-        batch: int = 32,
     ) -> Iterator["BlockColumns"]:
         """Yield columnar sub-batches of a block in wordline order.
 
         The batched analogue of :meth:`iter_wordlines` for block-scale
-        sweeps: each batch is one :class:`BlockColumns` of up to ``batch``
-        wordlines, materialized, yielded, and garbage-collected as the
-        caller advances — bounding peak memory on paper-scale blocks.
+        sweeps: each batch is one :class:`BlockColumns` of as many
+        wordlines as fit in :data:`BATCH_CELLS` cells (at least one),
+        materialized, yielded, and garbage-collected as the caller
+        advances — bounding peak memory on paper-scale blocks.
         """
         if indices is None:
             indices = range(self.spec.wordlines_per_block)
         indices = list(indices)
-        batch = max(1, batch)
+        batch = max(1, BATCH_CELLS // max(self.spec.cells_per_wordline, 1))
         for b0 in range(0, len(indices), batch):
             yield self.block_columns(block, indices[b0 : b0 + batch])
 

@@ -170,10 +170,6 @@ def measured_optimal_offsets_batch(
 # ----------------------------------------------------------------------
 # block-scale sweeps (engine-backed)
 # ----------------------------------------------------------------------
-#: Cells per columnar sub-batch of a sweep shard.
-_SWEEP_BATCH_CELLS = 1 << 23
-
-
 @dataclass(frozen=True)
 class _SweepTask:
     """Chip identity + sweep parameters shipped to shard workers."""
@@ -183,45 +179,19 @@ class _SweepTask:
     sentinel_ratio: float
     stress: object
     step: int
-    batched: bool = True  # columnar batch path (bit-identical)
 
 
 def _sweep_shard(task: _SweepTask, shard) -> List[Tuple[np.ndarray, int]]:
-    """Sweep every wordline of one shard with its own read-noise stream."""
+    """Sweep every wordline of one shard with its own read-noise stream,
+    one batched sense kernel per sweep position and column sub-batch."""
     from repro.flash.chip import FlashChip
 
-    if task.batched:
-        return _sweep_shard_batched(task, shard)
     chip = FlashChip(
         task.spec, task.seed, task.sentinel_ratio, cache_wordlines=1
     )
     chip.set_block_stress(shard.block, task.stress)
     rows: List[Tuple[np.ndarray, int]] = []
-    for wl in chip.iter_wordlines(shard.block, shard.wordlines):
-        rows.append(measured_optimal_offsets(wl, step=task.step))
-    return rows
-
-
-def _sweep_shard_batched(
-    task: _SweepTask, shard
-) -> List[Tuple[np.ndarray, int]]:
-    """Columnar form of ``_sweep_shard``: same rows, batched sense kernels."""
-    from repro.flash.block import BlockColumns
-
-    indices = list(shard.wordlines)
-    per_batch = max(
-        1, _SWEEP_BATCH_CELLS // max(task.spec.cells_per_wordline, 1)
-    )
-    rows: List[Tuple[np.ndarray, int]] = []
-    for b0 in range(0, len(indices), per_batch):
-        cols = BlockColumns(
-            task.spec,
-            task.seed,
-            shard.block,
-            indices[b0 : b0 + per_batch],
-            task.sentinel_ratio,
-            stress=task.stress,
-        )
+    for cols in chip.iter_wordline_batches(shard.block, shard.wordlines):
         rows.extend(measured_optimal_offsets_batch(cols, step=task.step))
     return rows
 
@@ -232,7 +202,6 @@ def sweep_block_offsets(
     wordlines: Optional[Sequence[int]] = None,
     step: int = 4,
     workers: int = 1,
-    batched: bool = True,
 ) -> Tuple[np.ndarray, int]:
     """Measured optimal offsets of every wordline of one block.
 
@@ -243,8 +212,8 @@ def sweep_block_offsets(
 
     Each wordline's sweep consumes that wordline's *own* read-noise
     stream, so the result is byte-identical for any ``workers`` value
-    (fan-out via :class:`repro.engine.ParallelMap`) and for either value
-    of ``batched`` (columnar batched kernels vs the per-wordline loop).
+    (fan-out via :class:`repro.engine.ParallelMap`) and equals
+    :func:`measured_optimal_offsets` run wordline by wordline.
     """
     from repro.engine import ParallelMap, plan_wordline_shards
 
@@ -261,7 +230,6 @@ def sweep_block_offsets(
         sentinel_ratio=chip.sentinel_ratio,
         stress=chip.block_stress(block),
         step=step,
-        batched=batched,
     )
     engine = ParallelMap(workers=workers)
     per_shard = engine.run(

@@ -21,10 +21,6 @@ from repro.obs import OBS
 from repro.retry.policy import ReadPolicy
 from repro.ssd.timing import NandTiming
 
-#: Cells per columnar sub-batch of a measure shard (bounds peak memory on
-#: whole-block sweeps at paper scale: ~150 MB of column arrays per batch).
-_MEASURE_BATCH_CELLS = 1 << 23
-
 
 @dataclass(frozen=True)
 class _MeasureTask:
@@ -44,7 +40,6 @@ class _MeasureTask:
     pages: Tuple[int, ...]
     hint_fn: Optional[Callable[..., float]]
     emit: bool  # emit read_complete inline (serial in-process mode only)
-    batched: bool = True  # columnar batch path (bit-identical)
 
 
 def _outcome_row(p: int, outcome) -> tuple:
@@ -58,51 +53,31 @@ def _outcome_row(p: int, outcome) -> tuple:
 
 
 def _measure_shard(task: _MeasureTask, shard: WordlineShard) -> List[tuple]:
-    """Measure one shard; rows in (wordline, page) sweep order."""
-    if task.batched:
-        return _measure_shard_batched(task, shard)
+    """Measure one shard; rows in (wordline, page) sweep order.
+
+    The shard's wordlines come from :meth:`FlashChip.iter_wordline_batches`
+    as columnar sub-batches (one batched synthesize instead of
+    per-wordline materialization).  Policies that override
+    :meth:`ReadPolicy.read_batch` (data-independent retry ladders) then
+    read all rows in kernel lockstep; everything else reads per-row
+    through wordline views, which is the byte-for-byte serial code path
+    over the same arrays.  Each wordline's draws come from its own
+    seed-tree streams in the serial order either way, so the rows equal
+    per-wordline ``policy.read`` calls on the same chip.
+    """
     chip = FlashChip(
         task.spec, task.seed, task.sentinel_ratio, cache_wordlines=1
     )
     chip.set_block_stress(shard.block, task.stress)
-    rows: List[tuple] = []
-    for wl in chip.iter_wordlines(shard.block, shard.wordlines):
-        hint = task.hint_fn(wl) if task.hint_fn is not None else None
-        for p in task.pages:
-            outcome = task.policy.read(wl, p, hint=hint)
-            rows.append(_outcome_row(p, outcome))
-            if task.emit and OBS.enabled and OBS.tracer.enabled:
-                _emit_read_complete(task.policy.name, rows[-1])
-    return rows
-
-
-def _measure_shard_batched(task: _MeasureTask, shard: WordlineShard) -> List[tuple]:
-    """Columnar form of ``_measure_shard``: same rows, batched kernels.
-
-    The shard's wordlines are built as :class:`BlockColumns` sub-batches
-    (one batched synthesize instead of per-wordline materialization).
-    Policies that override :meth:`ReadPolicy.read_batch` (data-independent
-    retry ladders) then read all rows in kernel lockstep; everything else
-    reads per-row through wordline views, which is the byte-for-byte
-    serial code path over the same arrays.  Each wordline's draws come
-    from its own seed-tree streams in the serial order either way, so the
-    rows are bit-identical to the per-wordline path.
-    """
-    from repro.flash.block import BlockColumns
-
     lockstep = type(task.policy).read_batch is not ReadPolicy.read_batch
     rows: List[tuple] = []
-    indices = list(shard.wordlines)
-    per_batch = max(1, _MEASURE_BATCH_CELLS // max(task.spec.cells_per_wordline, 1))
-    for b0 in range(0, len(indices), per_batch):
-        cols = BlockColumns(
-            task.spec,
-            task.seed,
-            shard.block,
-            indices[b0 : b0 + per_batch],
-            task.sentinel_ratio,
-            stress=task.stress,
-        )
+
+    def record(p: int, outcome) -> None:
+        rows.append(_outcome_row(p, outcome))
+        if task.emit and OBS.enabled and OBS.tracer.enabled:
+            _emit_read_complete(task.policy.name, rows[-1])
+
+    for cols in chip.iter_wordline_batches(shard.block, shard.wordlines):
         if lockstep:
             hints = None
             if task.hint_fn is not None:
@@ -110,17 +85,12 @@ def _measure_shard_batched(task: _MeasureTask, shard: WordlineShard) -> List[tup
             outcomes = task.policy.read_batch(cols, task.pages, hints)
             for row_outcomes in outcomes:
                 for p, outcome in zip(task.pages, row_outcomes):
-                    rows.append(_outcome_row(p, outcome))
-                    if task.emit and OBS.enabled and OBS.tracer.enabled:
-                        _emit_read_complete(task.policy.name, rows[-1])
+                    record(p, outcome)
         else:
             for wl in cols.iter_views():
                 hint = task.hint_fn(wl) if task.hint_fn is not None else None
                 for p in task.pages:
-                    outcome = task.policy.read(wl, p, hint=hint)
-                    rows.append(_outcome_row(p, outcome))
-                    if task.emit and OBS.enabled and OBS.tracer.enabled:
-                        _emit_read_complete(task.policy.name, rows[-1])
+                    record(p, task.policy.read(wl, p, hint=hint))
     return rows
 
 
@@ -211,7 +181,6 @@ class RetryProfile:
         hint_fn: Optional[Callable[..., float]] = None,
         name: Optional[str] = None,
         workers: int = 1,
-        batched: bool = True,
     ) -> "RetryProfile":
         """Measure a policy on one (aged) block of the chip model.
 
@@ -228,11 +197,9 @@ class RetryProfile:
         worker processes; the parent re-emits one ``read_complete`` per
         read, in canonical sweep order, after the merge.
 
-        ``batched=True`` (the default) measures through the columnar
+        Every shard is measured through the columnar
         :class:`repro.flash.block.BlockColumns` store — batched synthesize
         plus, for lockstep-capable policies, batched sense/decode kernels.
-        The samples are bit-identical either way; ``batched=False`` keeps
-        the per-wordline reference path for cross-checking.
         """
         from functools import partial
 
@@ -257,7 +224,6 @@ class RetryProfile:
             pages=tuple(page_list),
             hint_fn=hint_fn,
             emit=inline,
-            batched=batched,
         )
         shards = plan_wordline_shards(block, wordlines, workers)
         engine = ParallelMap(workers=workers)

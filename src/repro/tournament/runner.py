@@ -23,8 +23,8 @@ another, and all observability (``tournament_cell`` events,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ecc.capability import CapabilityEcc
@@ -182,23 +182,6 @@ class TournamentConfig:
             cell_stress(kind, age)  # raises on unknown names
 
 
-@dataclass(frozen=True)
-class _CellTask:
-    """Everything a worker needs to run one self-contained grid cell."""
-
-    kind: str
-    policy: str
-    age: str
-    frontend: str
-    cells_per_wordline: int
-    sentinel_ratio: float
-    wordline_step: int
-    requests_per_cell: int
-    scale: float
-    seed: int
-    model: object = field(repr=False)
-
-
 def measure_stress_profile(
     task_policy: str,
     kind: str,
@@ -217,7 +200,6 @@ def measure_stress_profile(
     with a cache-hint function for the warm (cache-hit) distribution.
     """
     from repro.exp.common import EVAL_SEED
-    from repro.flash.block import BlockColumns
 
     spec = cell_spec(kind, cells_per_wordline)
     chip = FlashChip(spec, seed=EVAL_SEED, sentinel_ratio=sentinel_ratio)
@@ -242,10 +224,10 @@ def measure_stress_profile(
             picks.append(n if same_layer and n % step != 0 else w)
         warmup = list(dict.fromkeys(picks))
         if warmup:
-            cols = BlockColumns(
-                spec, EVAL_SEED, 0, warmup, sentinel_ratio, stress=stress
+            policy.read_batch(
+                chip.block_columns(0, warmup),
+                list(range(spec.pages_per_wordline)),
             )
-            policy.read_batch(cols, list(range(spec.pages_per_wordline)))
             policy.commit_feedback()
     return RetryProfile.measure(
         chip,
@@ -322,36 +304,41 @@ def replay_cell_frontend(
     )
 
 
-def _run_cell(task: _CellTask) -> Dict[str, Any]:
-    """One grid cell, start to finish; returns its scorecard dict."""
+def _run_cell(
+    cfg: TournamentConfig, model, seed: int, key: Tuple[str, str, str]
+) -> Dict[str, Any]:
+    """One (policy, age, frontend) grid cell, start to finish; returns its
+    scorecard dict."""
+    policy, age, frontend = key
+    kind = cfg.kind.lower()
     profile = measure_cell_profile(
-        task.policy,
-        task.kind,
-        task.age,
-        task.cells_per_wordline,
-        task.sentinel_ratio,
-        task.wordline_step,
-        task.model,
+        policy,
+        kind,
+        age,
+        cfg.cells_per_wordline,
+        cfg.sentinel_ratio,
+        cfg.wordline_step,
+        model,
     )
     report = replay_cell_frontend(
-        task.frontend,
-        task.kind,
-        task.cells_per_wordline,
+        frontend,
+        kind,
+        cfg.cells_per_wordline,
         profile,
-        task.requests_per_cell,
-        task.seed,
-        task.scale,
+        cfg.requests_per_cell,
+        seed,
+        cfg.scale,
     )
-    stress = cell_stress(task.kind, task.age)
+    stress = cell_stress(kind, age)
     acct = report.accounting
     reads_measured = int(sum(len(v) for v in profile.samples.values()))
     extra_total = sum(int(v[:, 1].sum()) for v in profile.samples.values())
-    client = report.service["clients"][task.frontend]
+    client = report.service["clients"][frontend]
     return {
-        "policy": POLICY_ALIASES[task.policy],
-        "age": task.age,
-        "frontend": task.frontend,
-        "kind": task.kind,
+        "policy": POLICY_ALIASES[policy],
+        "age": age,
+        "frontend": frontend,
+        "kind": kind,
         "pe_cycles": stress.pe_cycles,
         "retention_hours": stress.retention_hours,
         "reads_measured": reads_measured,
@@ -415,27 +402,15 @@ def run_tournament(
     cfg = config or TournamentConfig()
     kind = cfg.kind.lower()
     model = tournament_model(kind, cfg.cells_per_wordline, cfg.sentinel_ratio)
-    tasks = [
-        _CellTask(
-            kind=kind,
-            policy=policy,
-            age=age,
-            frontend=frontend,
-            cells_per_wordline=cfg.cells_per_wordline,
-            sentinel_ratio=cfg.sentinel_ratio,
-            wordline_step=cfg.wordline_step,
-            requests_per_cell=cfg.requests_per_cell,
-            scale=cfg.scale,
-            seed=seed,
-            model=model,
-        )
+    keys = [
+        (policy, age, frontend)
         for policy in cfg.policies
         for age in cfg.ages
         for frontend in cfg.frontends
     ]
     engine = ParallelMap(workers=cfg.workers)
     cells: List[Dict[str, Any]] = engine.run(
-        _run_cell, tasks, label="tournament"
+        partial(_run_cell, cfg, model, seed), keys, label="tournament"
     )
     # sentinel-vs-rival deltas, computed post-merge in canonical order
     sentinel_by: Dict[Tuple[str, str], Dict[str, Any]] = {

@@ -92,11 +92,19 @@ class TestConstruction:
         assert np.array_equal(cols.states, before)
         assert not np.array_equal(view.states, before[0])
 
-    def test_iter_wordline_batches_partitions_in_order(self, tiny_tlc):
+    def test_iter_wordline_batches_partitions_in_order(
+        self, tiny_tlc, monkeypatch
+    ):
+        from repro.flash import chip as chip_module
+
+        monkeypatch.setattr(
+            chip_module, "BATCH_CELLS", 3 * tiny_tlc.cells_per_wordline
+        )
         chip = make_chip(tiny_tlc)
         got = []
-        for batch in chip.iter_wordline_batches(0, range(7), batch=3):
+        for batch in chip.iter_wordline_batches(0, range(7)):
             assert isinstance(batch, BlockColumns)
+            assert batch.n_wordlines <= 3
             got.extend(batch.indices)
         assert got == list(range(7))
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.exp.common import sim_spec
 from repro.faults import FAULTS, FaultInjector, FaultPlan, FaultSpec
-from repro.faults.campaign import run_campaign
+from repro.faults.campaign import run_chaos
 from repro.service import (
     FlashReadService,
     ServiceConfig,
@@ -216,10 +216,10 @@ class TestInjectorDeterminism:
 
 class TestCampaign:
     def test_accounting_identity_and_worker_invariance(self):
-        serial = run_campaign(
+        serial = run_chaos(
             FaultPlan.standard(), seed=3, smoke=True, workers=1
         )
-        parallel = run_campaign(
+        parallel = run_chaos(
             FaultPlan.standard(), seed=3, smoke=True, workers=2
         )
         assert serial.to_json() == parallel.to_json()
@@ -230,7 +230,7 @@ class TestCampaign:
         )
 
     def test_empty_plan_campaign_injects_nothing(self):
-        report = run_campaign(FaultPlan.none(), seed=2, smoke=True, workers=1)
+        report = run_chaos(FaultPlan.none(), seed=2, smoke=True, workers=1)
         assert report.faults == {}
         assert report.accounting["balanced"]
         assert report.accounting["degraded"] == 0
@@ -239,9 +239,9 @@ class TestCampaign:
     @settings(max_examples=4, deadline=None)
     def test_seed_reproducibility_across_worker_counts(self, seed):
         FAULTS.deactivate()  # hypothesis reuses the fixture-wrapped frame
-        a = run_campaign(FaultPlan.standard(), seed=seed, smoke=True,
-                         workers=1)
-        b = run_campaign(FaultPlan.standard(), seed=seed, smoke=True,
-                         workers=2)
+        a = run_chaos(FaultPlan.standard(), seed=seed, smoke=True,
+                      workers=1)
+        b = run_chaos(FaultPlan.standard(), seed=seed, smoke=True,
+                      workers=2)
         assert a.to_json() == b.to_json()
         assert a.accounting["balanced"]

@@ -5,8 +5,8 @@ Randomizes over chip kind (TLC/QLC), stress condition, batch size
 columnar kernels of :mod:`repro.flash.block` reproduce the per-wordline
 path exactly — errors, mismatch masks, RBER, sentinel readouts.  The
 deterministic end-to-end equivalences (``measure`` / ``characterize_chip``
-/ ``sweep_block_offsets`` with ``batched=True`` vs ``batched=False``) are
-pinned at the bottom.
+/ ``sweep_block_offsets`` against a reference loop over
+``chip.iter_wordlines`` and the per-wordline API) are pinned at the bottom.
 """
 
 import numpy as np
@@ -102,7 +102,7 @@ def test_decode_ok_batch_matches_per_row(kind, n_rows, width, rate, seed):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: batched=True vs batched=False byte equality
+# end-to-end: columnar sweeps equal a per-wordline reference loop
 # ---------------------------------------------------------------------------
 def _aged(spec):
     chip = FlashChip(spec, seed=11, sentinel_ratio=0.002)
@@ -110,25 +110,45 @@ def _aged(spec):
     return chip
 
 
+def _measured_wordlines(spec):
+    step = max(1, spec.wordlines_per_block // 64)
+    return range(0, spec.wordlines_per_block, step)
+
+
+def _reference_samples(spec, policy):
+    """``RetryProfile.measure`` spelled out with ``policy.read(wl, page)``."""
+    samples = {p: [] for p in range(spec.pages_per_wordline)}
+    for wl in _aged(spec).iter_wordlines(0, _measured_wordlines(spec)):
+        for p in samples:
+            outcome = policy.read(wl, p)
+            samples[p].append((outcome.retries, outcome.extra_single_reads))
+    return samples
+
+
+def _assert_profile_matches(profile, reference, spec):
+    assert profile.samples.keys() == reference.keys()
+    for p, rows in reference.items():
+        assert np.array_equal(
+            profile.samples[p], np.asarray(rows, dtype=np.int64)
+        )
+    assert profile.page_voltages == {
+        p: len(spec.gray.page_voltages(p)) for p in reference
+    }
+
+
 def test_measure_batched_equals_serial_lockstep(tiny_tlc):
     """CurrentFlashPolicy takes the lockstep kernel path; samples match."""
     from repro.retry.current_flash import CurrentFlashPolicy
+    from repro.retry.policy import ReadPolicy
     from repro.ssd.retry_model import RetryProfile
 
     ecc = CapabilityEcc.for_spec(tiny_tlc)
-
-    def run(batched):
-        return RetryProfile.measure(
-            _aged(tiny_tlc),
-            CurrentFlashPolicy(ecc, tiny_tlc),
-            batched=batched,
-        )
-
-    a, b = run(True), run(False)
-    assert a.samples.keys() == b.samples.keys()
-    for p in a.samples:
-        assert np.array_equal(a.samples[p], b.samples[p])
-    assert a.page_voltages == b.page_voltages
+    assert CurrentFlashPolicy.read_batch is not ReadPolicy.read_batch
+    profile = RetryProfile.measure(
+        _aged(tiny_tlc), CurrentFlashPolicy(ecc, tiny_tlc)
+    )
+    reference = _reference_samples(tiny_tlc, CurrentFlashPolicy(ecc, tiny_tlc))
+    _assert_profile_matches(profile, reference, tiny_tlc)
 
 
 def test_measure_batched_equals_serial_sentinel_policy(tiny_tlc):
@@ -136,6 +156,7 @@ def test_measure_batched_equals_serial_sentinel_policy(tiny_tlc):
     from repro.core.controller import SentinelController
     from repro.core.fitting import PolynomialFit
     from repro.core.models import CorrelationTable, SentinelModel
+    from repro.retry.policy import ReadPolicy
     from repro.ssd.retry_model import RetryProfile
 
     nv = tiny_tlc.n_voltages
@@ -153,42 +174,89 @@ def test_measure_batched_equals_serial_sentinel_policy(tiny_tlc):
         ],
     )
     ecc = CapabilityEcc.for_spec(tiny_tlc)
-
-    def run(batched):
-        return RetryProfile.measure(
-            _aged(tiny_tlc),
-            SentinelController(ecc, model),
-            batched=batched,
-        )
-
-    a, b = run(True), run(False)
-    assert a.samples.keys() == b.samples.keys()
-    for p in a.samples:
-        assert np.array_equal(a.samples[p], b.samples[p])
+    assert SentinelController.read_batch is ReadPolicy.read_batch
+    profile = RetryProfile.measure(
+        _aged(tiny_tlc), SentinelController(ecc, model)
+    )
+    reference = _reference_samples(tiny_tlc, SentinelController(ecc, model))
+    _assert_profile_matches(profile, reference, tiny_tlc)
 
 
 def test_characterize_batched_equals_serial(tiny_tlc):
-    from repro.core.characterization import characterize_chip
-
-    def run(batched):
-        return characterize_chip(
-            FlashChip(tiny_tlc, seed=11, sentinel_ratio=0.002),
-            blocks=(0, 1),
-            batched=batched,
-        )
-
-    a, b = run(True), run(False)
-    assert np.array_equal(a.d_rates, b.d_rates)
-    assert np.array_equal(a.optima, b.optima)
-    assert np.array_equal(
-        a.model.difference_poly.coeffs, b.model.difference_poly.coeffs
+    from repro.core.characterization import (
+        DEFAULT_TRAINING_STRESSES,
+        characterize_chip,
     )
+    from repro.core.fitting import fit_difference_polynomial
+    from repro.flash.optimal import optimal_offsets
+
+    result = characterize_chip(
+        FlashChip(tiny_tlc, seed=11, sentinel_ratio=0.002), blocks=(0, 1)
+    )
+
+    chip = FlashChip(tiny_tlc, seed=11, sentinel_ratio=0.002)
+    d_rates, optima = [], []
+    for stress in DEFAULT_TRAINING_STRESSES:
+        for block in (0, 1):
+            chip.set_block_stress(block, stress)
+            for wl in chip.iter_wordlines(block):
+                d_rates.append(wl.sentinel_readout(0.0).difference_rate)
+                optima.append(optimal_offsets(wl))
+    d_rates, optima = np.asarray(d_rates), np.vstack(optima)
+
+    assert np.array_equal(result.d_rates, d_rates)
+    assert np.array_equal(result.optima, optima)
+    poly = fit_difference_polynomial(
+        d_rates, optima[:, tiny_tlc.sentinel_voltage - 1], degree=5
+    )
+    assert np.array_equal(result.model.difference_poly.coeffs, poly.coeffs)
+
+
+def _reference_sweep(spec, step=4):
+    from repro.flash.sweep import measured_optimal_offsets
+
+    rows = [
+        measured_optimal_offsets(wl, step=step)
+        for wl in _aged(spec).iter_wordlines(0)
+    ]
+    return np.vstack([dense for dense, _ in rows]), sum(r for _, r in rows)
 
 
 def test_sweep_batched_equals_serial(tiny_tlc):
     from repro.flash.sweep import sweep_block_offsets
 
-    o1, r1 = sweep_block_offsets(_aged(tiny_tlc), 0, batched=True)
-    o2, r2 = sweep_block_offsets(_aged(tiny_tlc), 0, batched=False)
-    assert np.array_equal(o1, o2)
-    assert r1 == r2
+    offsets, reads = sweep_block_offsets(_aged(tiny_tlc), 0)
+    ref_offsets, ref_reads = _reference_sweep(tiny_tlc)
+    assert np.array_equal(offsets, ref_offsets)
+    assert reads == ref_reads
+
+
+def test_sweeps_split_into_sub_batches_are_unchanged(tiny_tlc, monkeypatch):
+    """Shrinking the cells-per-batch bound splits every shard into
+    several column batches (one of a single wordline); rows and their
+    order stay those of the per-wordline loop."""
+    from repro.flash import chip as chip_module
+    from repro.flash.sweep import sweep_block_offsets
+    from repro.retry.current_flash import CurrentFlashPolicy
+    from repro.ssd.retry_model import RetryProfile
+
+    monkeypatch.setattr(
+        chip_module, "BATCH_CELLS", 2 * tiny_tlc.cells_per_wordline
+    )
+    sizes = [
+        cols.n_wordlines
+        for cols in _aged(tiny_tlc).iter_wordline_batches(0, range(5))
+    ]
+    assert sizes == [2, 2, 1]
+
+    offsets, reads = sweep_block_offsets(_aged(tiny_tlc), 0)
+    ref_offsets, ref_reads = _reference_sweep(tiny_tlc)
+    assert np.array_equal(offsets, ref_offsets)
+    assert reads == ref_reads
+
+    ecc = CapabilityEcc.for_spec(tiny_tlc)
+    profile = RetryProfile.measure(
+        _aged(tiny_tlc), CurrentFlashPolicy(ecc, tiny_tlc)
+    )
+    reference = _reference_samples(tiny_tlc, CurrentFlashPolicy(ecc, tiny_tlc))
+    _assert_profile_matches(profile, reference, tiny_tlc)
